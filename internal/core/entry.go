@@ -230,12 +230,13 @@ type callResult struct {
 //     one for the runtime (held until the record leaves waitq/slots for
 //     good). The side that drops refs to 0 returns the record to the pool.
 //   - acquireCall resets every field under either o.mu (slow path) or
-//     intakeMu (mailbox fast path); afterwards fields are written only
-//     under o.mu, by the record's current owner lifecycle. Fast-path
-//     writes are published to the manager by the intakeMu release/acquire
-//     pair around the drain, so every o.mu-side access is ordered after
-//     them. A stale manager handle from a previous lifecycle must not
-//     read the record directly (a fast-path acquire may be rewriting it):
+//     the intake queue's lock (mailbox fast path); afterwards fields are
+//     written only under o.mu, by the record's current owner lifecycle.
+//     Fast-path writes are published to the manager by that lock's
+//     release/acquire pair around the drain, so every o.mu-side access
+//     is ordered after them. A stale manager handle from a previous
+//     lifecycle must not read the record directly (a fast-path acquire
+//     may be rewriting it):
 //     it validates through its captured slot first — slot fields are
 //     written only under o.mu — and only a slot still bound to the
 //     handle's record (which therefore cannot be mid-acquire) licenses

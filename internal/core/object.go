@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batchq"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -67,26 +68,17 @@ type Object struct {
 	// across invocations; see the lifecycle notes on callRecord.
 	crPool sync.Pool
 
-	// Batched intake mailbox (docs/PERFORMANCE.md): arrivals at intercepted,
-	// unbounded entries append here under intakeMu — held only for the
-	// append — instead of competing for o.mu with a manager that holds it
-	// across guard scans. The manager folds the whole list into the wait
-	// queues in one wakeup (drainIntakeLocked). intakeSpare is the drained
-	// buffer kept for the next swap; it is touched only under o.mu.
-	// intakeClosed is set (under intakeMu) at close/poison so late arrivals
-	// fall through to the slow path and observe the precise error.
-	intakeMu     sync.Mutex
-	intake       []*callRecord
-	intakeClosed bool
-	intakeSpare  []*callRecord
+	// intake is the mailbox for intercepted, unbounded entries
+	// (docs/PERFORMANCE.md): arrivals do not compete for o.mu with a
+	// manager that holds it across guard scans, and the manager folds a
+	// whole batch into the wait queues in one wakeup. Sealed at
+	// close/poison so late arrivals take the slow path's precise error.
+	intake *batchq.Queue[*callRecord]
 
-	// Asynchronous completion (CallAsync): deliverLocked queues settled
-	// async calls here instead of sending to a parked caller, and one
-	// lazily-started dispatcher goroutine invokes the callbacks outside
-	// o.mu. doneSig is allocated at New (capacity 1, coalescing signal);
-	// the dispatcher itself starts on the first CallAsync.
-	doneq        []asyncDone
-	doneSpare    []asyncDone // drained buffer kept for the next swap; dispatcher-only
+	// doneq carries settled CallAsync calls from deliverLocked, which pushes
+	// under o.mu, to one lazily-started dispatcher goroutine that invokes
+	// the callbacks outside o.mu. doneSig (capacity 1) coalesces wakeups.
+	doneq        *batchq.Queue[asyncDone]
 	doneSig      chan struct{}
 	dispatching  bool          // dispatcher started; guarded by o.mu
 	dispatchDone chan struct{} // closed when the dispatcher exits
@@ -185,6 +177,8 @@ func New(name string, opts ...Option) (*Object, error) {
 		name:     name,
 		entries:  make(map[string]*entry, len(cfg.entries)),
 		closeCh:  make(chan struct{}),
+		intake:   batchq.New[*callRecord](0),
+		doneq:    batchq.New[asyncDone](0),
 		doneSig:  make(chan struct{}, 1),
 		rec:      cfg.rec,
 		gate:     cfg.gate && cfg.mgrFn != nil,
@@ -413,37 +407,25 @@ func (o *Object) CallAsync(name string, params []Value, done func([]Value, error
 // drain. Deliveries that land between its exit and the end of Close are
 // drained by Close itself.
 func (o *Object) completionLoop() {
-	for {
+	defer close(o.dispatchDone)
+	for open := true; open; {
 		select {
 		case <-o.doneSig:
-			o.drainCompletions()
 		case <-o.closeCh:
-			o.drainCompletions()
-			close(o.dispatchDone)
-			return
+			open = false
 		}
+		o.drainCompletions()
 	}
 }
 
-// drainCompletions swaps the queued completions out under o.mu and
-// invokes their callbacks outside it. Only one drainer runs at a time
-// (the dispatcher while it lives, Close after it exits), so the spare
-// buffer needs no further synchronization.
+// drainCompletions invokes the queued completion callbacks outside o.mu.
+// Only one drainer runs at a time (the dispatcher while it lives, Close
+// after it exits).
 func (o *Object) drainCompletions() {
-	for {
-		o.mu.Lock()
-		batch := o.doneq
-		o.doneq = o.doneSpare[:0]
-		o.mu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		for i := range batch {
-			d := &batch[i]
+	for batch := o.doneq.Swap(); batch != nil; batch = o.doneq.Swap() {
+		for _, d := range batch {
 			d.fn(d.results, d.err)
-			*d = asyncDone{} // drop the references for GC
 		}
-		o.doneSpare = batch
 	}
 }
 
@@ -513,7 +495,15 @@ func (o *Object) submit(ctx context.Context, name string, params []Value, intern
 	}
 	o.seqPoint(SeqSubmit, name, 0)
 	if e.fastIntake {
-		if cr, ok := o.submitIntake(e, params); ok {
+		// Mailbox fast path; the record is written inside Put and read only
+		// after a drain (see callRecord). A sealed mailbox (closing or
+		// poisoned) falls through to the slow path for the precise error.
+		var cr *callRecord
+		if o.intake.Put(func() *callRecord {
+			cr = o.acquireCall(e, params)
+			o.record(e.spec.Name, -1, cr.id, trace.Arrived)
+			return cr
+		}) {
 			o.wakeManager(e)
 			return cr, nil
 		}
@@ -538,43 +528,15 @@ func (o *Object) submit(ctx context.Context, name string, params []Value, intern
 	return cr, nil
 }
 
-// submitIntake is the mailbox fast path: append the arriving call under
-// intakeMu and let the manager fold the whole list into the wait queues in
-// one wakeup. It reports false when the mailbox is sealed (object closing
-// or poisoned); the caller falls back to the slow path for the precise
-// error. Publication safety: every field of the record is written by this
-// goroutine before the append, and the manager reads them only after a
-// drain, so the intakeMu release/acquire pair orders the writes before
-// every manager access.
-func (o *Object) submitIntake(e *entry, params []Value) (*callRecord, bool) {
-	o.intakeMu.Lock()
-	if o.intakeClosed {
-		o.intakeMu.Unlock()
-		return nil, false
-	}
-	cr := o.acquireCall(e, params)
-	o.record(e.spec.Name, -1, cr.id, trace.Arrived)
-	o.intake = append(o.intake, cr)
-	o.intakeMu.Unlock()
-	return cr, true
-}
-
 // drainIntakeLocked folds every mailbox arrival into its entry's wait
-// queue and attaches what fits. Called with o.mu held — by the manager at
-// the top of each blocking primitive and scan (one drain serves the whole
-// batch), and by any path that must observe the complete pending set
-// (withdraw, stats, the watchdog, close, poison).
+// queue and attaches what fits. Called with o.mu held, which makes it the
+// mailbox's only drainer — by the manager at the top of each blocking
+// primitive and scan (one drain serves the whole batch), and by any path
+// that must observe the complete pending set (withdraw, stats, the
+// watchdog, close, poison).
 func (o *Object) drainIntakeLocked() {
-	o.intakeMu.Lock()
-	batch := o.intake
-	if len(batch) == 0 {
-		o.intakeMu.Unlock()
-		return
-	}
-	o.intake = o.intakeSpare[:0]
-	o.intakeMu.Unlock()
 	attach := !o.closed && !o.poisoned
-	for _, cr := range batch {
+	for _, cr := range o.intake.Swap() {
 		e := cr.entry
 		e.calls++
 		e.waitq = append(e.waitq, cr)
@@ -582,27 +544,15 @@ func (o *Object) drainIntakeLocked() {
 			o.attachWaitingLocked(e)
 		}
 	}
-	clear(batch) // drop the record references for GC
-	o.intakeSpare = batch
-}
-
-// closeIntakeLocked seals the mailbox — future fast-path submissions fall
-// through to the slow path and observe the close/poison state under o.mu —
-// and folds buffered arrivals into their wait queues so the caller's sweep
-// fails them like any other pending call. Called with o.mu held.
-func (o *Object) closeIntakeLocked() {
-	o.intakeMu.Lock()
-	o.intakeClosed = true
-	o.intakeMu.Unlock()
-	o.drainIntakeLocked()
 }
 
 // acquireCall returns a recycled (or new) call record, fully reinitialized
 // for a call to e with the given params (ownership of the slice transfers
-// to the runtime). Callers hold either o.mu (slow path) or intakeMu (fast
-// path); in both cases the record is unreachable from live handles — only
-// stale ones, which validate through their slot before touching the record
-// (see callRecord) — so the resets cannot be observed mid-write.
+// to the runtime). Callers hold either o.mu (slow path) or the intake
+// queue's lock (fast path); in both cases the record is unreachable from
+// live handles — only stale ones, which validate through their slot before
+// touching the record (see callRecord) — so the resets cannot be observed
+// mid-write.
 func (o *Object) acquireCall(e *entry, params []Value) *callRecord {
 	cr, _ := o.crPool.Get().(*callRecord)
 	if cr == nil {
@@ -830,7 +780,7 @@ func (o *Object) deliverLocked(cr *callRecord, results []Value, err error) {
 		// instead of a parked caller. The caller's reference drops here —
 		// no awaitResult will — and the outcome is copied out so the
 		// record can recycle before the callback runs.
-		o.doneq = append(o.doneq, asyncDone{fn: cr.onDone, results: results, err: err})
+		o.doneq.Put(func() asyncDone { return asyncDone{fn: cr.onDone, results: results, err: err} })
 		cr.onDone = nil
 		cr.release(o)
 		select {
@@ -904,7 +854,8 @@ func (o *Object) Close() error {
 	o.closed = true
 	close(o.closeCh)
 	o.record("", -1, 0, trace.Closed)
-	o.closeIntakeLocked()
+	o.intake.Seal()
+	o.drainIntakeLocked() // buffered arrivals fail below like any pending call
 	for _, name := range o.order {
 		e := o.entries[name]
 		for _, cr := range e.waitq {

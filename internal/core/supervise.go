@@ -324,7 +324,11 @@ func (o *Object) poison(reason error) {
 	}
 	o.poisoned = true
 	o.poisonErr = perr
-	o.closeIntakeLocked()
+	if s := o.sup.Metrics; s != nil {
+		s.Poisons.Inc() // before any caller can observe the poison
+	}
+	o.intake.Seal()
+	o.drainIntakeLocked() // buffered arrivals fail below like any pending call
 	for _, name := range o.order {
 		e := o.entries[name]
 		for _, cr := range e.waitq {
@@ -349,9 +353,6 @@ func (o *Object) poison(reason error) {
 	o.record("", -1, 0, trace.Poisoned)
 	o.mu.Unlock()
 	o.lifeCancel() // running bodies observe Invocation.Ctx cancellation
-	if s := o.sup.Metrics; s != nil {
-		s.Poisons.Inc()
-	}
 }
 
 // releaseAdmissionWaitersLocked wakes every caller blocked in admission

@@ -151,10 +151,7 @@ func auditOracle(t *testing.T, c *cluster, execs []fabric.Exec) {
 		}
 		return true
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	if b := testutil.WaitBudget(t); b.Before(deadline) {
-		deadline = b
-	}
+	deadline := testutil.WaitBudget(t)
 	for !ok() {
 		if time.Now().After(deadline) {
 			t.Fatalf("audit convergence failed: %s", lastMismatch)

@@ -79,9 +79,7 @@ func TestCombinedProposalsFIFO(t *testing.T) {
 	// proposal has already left the queue, so the threshold is below
 	// clients); the combiner then drains the pile-up in one window.
 	for deadline := time.Now().Add(2 * time.Second); ; {
-		lead.rep.propMu.Lock()
-		parked := len(lead.rep.propQ)
-		lead.rep.propMu.Unlock()
+		parked := lead.rep.props.Len()
 		if parked >= clients*3/4 {
 			break
 		}

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/batchq"
 	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/wal"
@@ -201,10 +202,10 @@ type waiter struct {
 }
 
 // proposal is one client call parked in the leader's combining queue: the
-// first proposer to find the queue idle becomes the combiner and drains
-// bounded windows of its peers' proposals into single append+sync+
-// replicate rounds — the PR 7 combining-write-queue pattern one layer up
-// (and the paper's C5 request combining applied to consensus itself).
+// first proposer to find the queue idle becomes the combiner and commits
+// bounded windows of its peers' proposals as single append+sync+
+// replicate rounds (the paper's C5 request combining applied to
+// consensus itself).
 type proposal struct {
 	entry  string
 	client string
@@ -261,11 +262,9 @@ type Replica struct {
 
 	sessions *rpc.SessionTable
 
-	// Proposal combining queue (its own lock: enqueueing must not contend
-	// with the consensus state the combiner holds r.mu to mutate).
-	propMu    sync.Mutex
-	propQ     []proposal
-	combining bool
+	// props is the combining queue; it has its own lock so enqueueing does
+	// not contend with the consensus state the combiner holds r.mu for.
+	props *batchq.Queue[proposal]
 
 	electionDeadline time.Time
 	rng              *workload.RNG
@@ -294,6 +293,7 @@ func New(cfg Config, obj rpc.Callable) (*Replica, error) {
 		waiters:   make(map[uint64][]waiter),
 		readApply: make(map[uint64][]chan struct{}),
 		sessions:  rpc.NewSessionTable(cfg.SessionCap),
+		props:     batchq.New[proposal](0),
 		rng:       workload.NewRNG(cfg.Seed ^ idHash(cfg.ID)),
 		done:      make(chan struct{}),
 	}
@@ -369,16 +369,7 @@ func (r *Replica) CallSession(ctx context.Context, client string, seq uint64, en
 		return r.readCall(ctx, entryName, params)
 	}
 	p := proposal{entry: entryName, client: client, seq: seq, params: params, ch: make(chan result, 1)}
-	r.propMu.Lock()
-	r.propQ = append(r.propQ, p)
-	if r.combining {
-		r.propMu.Unlock()
-	} else {
-		// First proposer in becomes the combiner; it drains the queue —
-		// including proposals that arrive while it works — before retiring,
-		// so nothing is ever left parked without a drainer.
-		r.combining = true
-		r.propMu.Unlock()
+	if lead, _ := r.props.Push(p); lead {
 		r.combineRounds()
 	}
 
@@ -394,31 +385,17 @@ func (r *Replica) CallSession(ctx context.Context, client string, seq uint64, en
 	}
 }
 
-// combineRounds drains the proposal queue in bounded windows until it is
-// empty, then hands the combiner role back. Runs on the first proposer's
-// goroutine — the combined round's latency is the round the proposer was
-// paying anyway, minus everyone else's.
+// combineRounds drains the proposal queue until it is empty, committing
+// each swapped batch in CombineWindow windows, in order. Runs on the first
+// proposer's goroutine — the combined round's latency is the round the
+// proposer was paying anyway, minus everyone else's.
 func (r *Replica) combineRounds() {
-	var batch []proposal
-	for {
-		r.propMu.Lock()
-		n := len(r.propQ)
-		if n == 0 {
-			r.combining = false
-			r.propMu.Unlock()
-			return
+	for batch := r.props.Swap(); batch != nil; batch = r.props.Swap() {
+		for w := batch; len(w) > 0; {
+			n := min(len(w), r.cfg.CombineWindow)
+			r.commitRound(w[:n])
+			w = w[n:]
 		}
-		if n > r.cfg.CombineWindow {
-			n = r.cfg.CombineWindow
-		}
-		batch = append(batch[:0], r.propQ[:n]...)
-		rest := copy(r.propQ, r.propQ[n:])
-		for i := rest; i < len(r.propQ); i++ {
-			r.propQ[i] = proposal{} // drop references for GC
-		}
-		r.propQ = r.propQ[:rest]
-		r.propMu.Unlock()
-		r.commitRound(batch)
 	}
 }
 

@@ -15,34 +15,22 @@ import (
 // the caller).
 func wedgeLink(t *testing.T, grace time.Duration) (*link, net.Conn) {
 	t.Helper()
-	c1, c2 := net.Pipe()
-	l := newLink(c1, nil, linkHooks{flushGrace: grace})
-	// Wait for the hello flusher to become the combiner (stuck in Write).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		l.wmu.Lock()
-		writing := l.writing
-		l.wmu.Unlock()
-		if writing {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("combiner never started")
-		}
-		time.Sleep(time.Millisecond)
+	conn, peer := newStuckConn()
+	l := newLink(conn, nil, linkHooks{flushGrace: grace})
+	select {
+	case <-conn.writing:
+	case <-time.After(2 * time.Second):
+		t.Fatal("combiner never started")
 	}
-	// Queue a frame behind the wedged combiner; with writing=true the send
-	// returns immediately, leaving wbuf non-empty for flushPending.
+	// Queue a frame behind the wedged combiner; with a combiner active the
+	// send returns immediately, leaving the queue non-empty for flushPending.
 	if err := l.send(&frame{Kind: frameResponse, ID: 1}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	l.wmu.Lock()
-	queued := len(l.wbuf)
-	l.wmu.Unlock()
-	if queued == 0 {
+	if l.wq.Len() == 0 {
 		t.Fatal("frame was not queued")
 	}
-	return l, c2
+	return l, peer
 }
 
 // TestFlushGraceBounds pins the close-time flush bound to its

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/batchq"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -36,8 +38,8 @@ func putFrame(f *frame) { framePool.Put(f) }
 // recycled channel can never deliver a stale response to a later call.
 var respChPool = sync.Pool{New: func() any { return make(chan frame, 1) }}
 
-// maxQueued bounds the encoded bytes waiting for the write loop. Senders
-// crossing it block until the writer drains — backpressure instead of
+// maxQueued bounds the encoded bytes queued for the combiner. Senders
+// crossing it wait for the combiner's next swap — backpressure instead of
 // unbounded buffering when the peer reads slowly.
 const maxQueued = 256 << 10
 
@@ -98,22 +100,11 @@ type link struct {
 	// race the encoder or change the meaning of frames in flight.
 	table *wire.TypeTable
 
-	// The write path is a combining queue — the group-commit discipline
-	// the WAL and the manager mailbox already proved, without a dedicated
-	// writer goroutine. Senders encode into pooled buffers OUTSIDE any
-	// lock (the binary codec is stateless, unlike the gob stream) and
-	// append the framed bytes to wbuf under wmu. The first sender to find
-	// no combiner active becomes it: it swaps wbuf out and commits it with
-	// one conn.Write, looping until the queue is empty. Frames appended
-	// while its syscall is in flight all ride the next one, so batch size
-	// adapts to load with no latency timer and no handoff hop: an idle
-	// link writes a lone frame synchronously, a saturated link coalesces
-	// dozens of frames per syscall.
-	wmu      sync.Mutex
-	wcond    *sync.Cond // backpressure: senders wait while wbuf > maxQueued
-	wbuf     []byte     // encoded frames awaiting the combiner
-	wscratch []byte     // combiner's swap buffer (alternates with wbuf)
-	writing  bool       // a combiner is draining the queue
+	// wq holds encoded frames. The first pusher to find no combiner active
+	// becomes it and writes each swapped batch with one conn.Write, so
+	// frames queued during a syscall ride the next one: batch size adapts
+	// to load with no writer goroutine, no timer and no handoff hop.
+	wq *batchq.Queue[byte]
 
 	mu       sync.Mutex
 	pending  map[uint64]chan frame
@@ -144,43 +135,36 @@ func newLink(conn net.Conn, res objectResolver, hooks linkHooks) *link {
 		chans:   make(map[string]*channel.Chan),
 		proxies: make(map[string]*channel.Chan),
 		done:    make(chan struct{}),
+		wq:      batchq.New[byte](maxQueued),
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	l.wcond = sync.NewCond(&l.wmu)
 	hooks.rec.Record("", conn.RemoteAddr().String(), -1, 0, trace.LinkUp)
 	// Announce the protocol as the first bytes on the queue: both sides
 	// read their peer's hello before decoding frames, and queueing it
-	// ahead of any frame keeps the write loop the only writer.
-	hb := make([]byte, 0, 8)
-	if err := wire.WriteHello((*sliceWriter)(&hb)); err != nil {
+	// ahead of any frame keeps the combiner the only writer.
+	var hb bytes.Buffer
+	if err := wire.WriteHello(&hb); err != nil {
 		l.shutdown(fmt.Errorf("rpc: hello: %v: %w", err, ErrLinkClosed))
 	}
-	l.wbuf = hb
 	// Flush the hello eagerly even if no frame ever follows: both sides
 	// read their peer's banner before decoding frames, and a gob-era or
 	// foreign peer should see our protocol announced before we kill its
 	// connection.
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		l.flushQueued()
-	}()
+	if lead, _ := l.wq.Push(hb.Bytes()...); lead {
+		l.wg.Add(1)
+		go func() {
+			defer l.wg.Done()
+			_ = l.combine()
+		}()
+	}
 	l.wg.Add(1)
 	go l.readLoop()
 	return l
 }
 
-// sliceWriter adapts an append target to io.Writer for WriteHello.
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-// send encodes one frame, queues it, and drains the queue if no combiner
-// is active (see the wbuf comment on the link struct).
+// send encodes one frame, queues it, and becomes the combiner if none is
+// active (see the wq comment on the link struct).
 //
 // Two failure classes, deliberately distinct: an ENCODE failure
 // (unsupported value type) happens before any byte is committed, so it is
@@ -195,75 +179,47 @@ func (l *link) send(f *frame) error {
 		return err
 	}
 	*buf = b
-
-	l.wmu.Lock()
-	for len(l.wbuf) >= maxQueued && l.writing && !l.closedLocked() {
-		l.wcond.Wait()
-	}
-	if l.closedLocked() {
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
+	lead, ok := l.wq.Push(b...)
+	wire.PutBuf(buf)
+	if !ok {
 		return l.closeReason()
 	}
-	l.wbuf = append(l.wbuf, b...)
 	if m := l.hooks.metrics; m != nil {
 		m.FramesSent.Inc()
 	}
-	if l.writing {
-		// An active combiner will carry these bytes in its next batch.
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
-		return nil
+	if lead {
+		return l.combine()
 	}
-	err = l.drainLocked()
-	wire.PutBuf(buf)
-	return err
+	return nil
 }
 
-// flushQueued drains the write queue if no combiner is active — used to
-// push the hello out at link creation.
-func (l *link) flushQueued() {
-	l.wmu.Lock()
-	if l.writing || l.closedLocked() {
-		l.wmu.Unlock()
-		return
-	}
-	_ = l.drainLocked()
-}
-
-// drainLocked makes the caller the combiner: it repeatedly swaps wbuf out
-// and commits it with one conn.Write outside the lock, until the queue is
-// empty. Called with wmu held; returns with it released.
-func (l *link) drainLocked() error {
-	l.writing = true
-	for len(l.wbuf) > 0 {
+// combine drains the write queue, one conn.Write per swapped batch, until
+// it finds the queue empty. After a failed write the link is dead: the
+// rest of the queue is discarded.
+func (l *link) combine() error {
+	var err error
+	for {
 		// Yield before swapping: senders already runnable get to append
 		// their frames to this batch instead of starting the next one.
 		// On a loaded box (or a single core) this turns lock-step call
 		// schedules into multi-frame syscalls; on an idle link it costs
 		// one scheduler round trip.
-		l.wmu.Unlock()
-		runtime.Gosched()
-		l.wmu.Lock()
-		batch := l.wbuf
-		if cap(l.wscratch) > 1<<20 {
-			// Don't let one burst pin a huge buffer forever.
-			l.wscratch = nil
+		if l.wq.Len() > 0 {
+			runtime.Gosched()
 		}
-		l.wbuf = l.wscratch[:0]
-		l.wmu.Unlock()
-		l.wcond.Broadcast()
-
-		_, err := l.conn.Write(batch)
+		batch := l.wq.Swap()
+		if batch == nil {
+			return err
+		}
 		if err != nil {
+			continue
+		}
+		if _, werr := l.conn.Write(batch); werr != nil {
 			// A failed write may have left a partial frame on the wire;
 			// the stream cannot resynchronize, so the whole link is dead.
-			err = fmt.Errorf("rpc: write: %v: %w", err, ErrLinkClosed)
+			err = fmt.Errorf("rpc: write: %v: %w", werr, ErrLinkClosed)
 			l.shutdown(err)
-			l.wmu.Lock()
-			l.writing = false
-			l.wmu.Unlock()
-			return err
+			continue
 		}
 		if m := l.hooks.metrics; m != nil {
 			// Frames-per-flush = FramesSent / Flushes; mean batch size =
@@ -271,23 +227,6 @@ func (l *link) drainLocked() error {
 			m.Flushes.Inc()
 			m.BytesSent.Add(uint64(len(batch)))
 		}
-		l.wmu.Lock()
-		l.wscratch = batch
-	}
-	l.writing = false
-	l.wmu.Unlock()
-	return nil
-}
-
-// closedLocked reports closure without taking l.mu — reading l.closed
-// under wmu would invert the lock order, so the done channel is the
-// source of truth here.
-func (l *link) closedLocked() bool {
-	select {
-	case <-l.done:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -470,9 +409,11 @@ func (l *link) readLoop() {
 	defer l.wg.Done()
 	br := bufio.NewReaderSize(l.conn, readBufSize)
 	if err := wire.ReadHello(br); err != nil {
-		// Wrap with BOTH sentinels: callers check ErrLinkClosed for
-		// retry/teardown, operators check ErrVersionSkew to tell a
-		// mixed-version cluster from rotten bytes.
+		// Flush our own hello first so a foreign or older peer sees which
+		// protocol it met. Both sentinels: callers check ErrLinkClosed for
+		// retry/teardown, operators ErrVersionSkew to tell a mixed-version
+		// cluster from rotten bytes.
+		l.flushPending()
 		l.shutdown(fmt.Errorf("%w: %w", ErrLinkClosed, err))
 		return
 	}
@@ -848,36 +789,30 @@ func (l *link) finishServe(id uint64, client string, seq uint64, entry *dedupEnt
 // completion dispatcher for every other caller of the object. It reports
 // false (frame not queued) when the queue is over budget or the frame
 // fails to encode; the caller retries on the blocking path. When the
-// append leaves no combiner active, a flusher goroutine is kicked — under
+// push finds no combiner active, a combiner goroutine is kicked — under
 // load a combiner is almost always draining, so the spawn is rare.
 func (l *link) trySendResponse(r *frame) bool {
+	select {
+	case <-l.done:
+		return true // link dead: the response is undeliverable either way
+	default:
+	}
 	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
 	b, err := wire.AppendFrame(*buf, r, l.table)
 	if err != nil {
-		wire.PutBuf(buf)
 		return false // sendResponse downgrades to an encodable error frame
 	}
 	*buf = b
-	l.wmu.Lock()
-	if l.closedLocked() {
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
-		return true // link dead: the response is undeliverable either way
-	}
-	if len(l.wbuf) >= maxQueued && l.writing {
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
+	lead, ok := l.wq.TryPush(b...)
+	if !ok {
 		return false
 	}
-	l.wbuf = append(l.wbuf, b...)
 	if m := l.hooks.metrics; m != nil {
 		m.FramesSent.Inc()
 	}
-	writing := l.writing
-	l.wmu.Unlock()
-	wire.PutBuf(buf)
-	if !writing {
-		go l.flushQueued()
+	if lead {
+		go l.combine()
 	}
 	return true
 }
@@ -918,12 +853,7 @@ func (l *link) shutdown(reason error) {
 	l.mu.Unlock()
 
 	close(l.done)
-	// Release senders blocked on backpressure. The lock pairs the
-	// broadcast with their closedLocked re-check: a sender between its
-	// check and its Wait still holds wmu, so it cannot miss the wakeup.
-	l.wmu.Lock()
-	l.wcond.Broadcast()
-	l.wmu.Unlock()
+	l.wq.Seal() // fails later sends and releases senders blocked on backpressure
 	l.cancel()
 	_ = l.conn.Close()
 	for _, p := range proxies {
@@ -952,18 +882,7 @@ func (l *link) flushPending() {
 	if grace == 0 {
 		grace = time.Second
 	}
-	if grace < 0 {
-		return
+	if grace > 0 {
+		l.wq.WaitIdle(grace)
 	}
-	deadline := time.Now().Add(grace)
-	l.wmu.Lock()
-	for (len(l.wbuf) > 0 || l.writing) && !l.closedLocked() {
-		l.wmu.Unlock()
-		runtime.Gosched()
-		if time.Now().After(deadline) {
-			return
-		}
-		l.wmu.Lock()
-	}
-	l.wmu.Unlock()
 }
