@@ -391,14 +391,7 @@ func (o *Object) CallAsync(name string, params []Value, done func([]Value, error
 		o.dispatchDone = make(chan struct{})
 		go o.completionLoop()
 	}
-	cr := o.acquireCall(e, params)
-	cr.onDone = done
-	e.calls++
-	o.record(name, -1, cr.id, trace.Arrived)
-	e.waitq = append(e.waitq, cr)
-	o.attachWaitingLocked(e)
-	o.mu.Unlock()
-	o.wakeManager(e)
+	o.enqueueAndUnlock(e, params, done)
 	return true
 }
 
@@ -518,14 +511,23 @@ func (o *Object) submit(ctx context.Context, name string, params []Value, intern
 			return nil, err // admitLocked released the lock
 		}
 	}
+	return o.enqueueAndUnlock(e, params, nil), nil
+}
+
+// enqueueAndUnlock is the slow-path arrival shared by submit and
+// CallAsync: it files an admitted call on its entry's wait queue, attaches
+// what fits, releases o.mu and wakes the manager. done, when non-nil, is
+// the CallAsync completion callback.
+func (o *Object) enqueueAndUnlock(e *entry, params []Value, done func([]Value, error)) *callRecord {
 	cr := o.acquireCall(e, params)
+	cr.onDone = done
 	e.calls++
-	o.record(name, -1, cr.id, trace.Arrived)
+	o.record(e.spec.Name, -1, cr.id, trace.Arrived)
 	e.waitq = append(e.waitq, cr)
 	o.attachWaitingLocked(e)
 	o.mu.Unlock()
 	o.wakeManager(e)
-	return cr, nil
+	return cr
 }
 
 // drainIntakeLocked folds every mailbox arrival into its entry's wait

@@ -60,11 +60,13 @@ type callable interface {
 	CallCtx(ctx context.Context, entry string, params ...any) ([]any, error)
 }
 
-// asyncCallable is the optional fast-path surface of a published object:
-// core.Object implements it for plain (non-intercepted, unbounded,
-// unjournaled) entries. The read loop submits such calls directly and the
-// response is sent from the object's completion dispatcher — no serve
-// goroutine spawned, no goroutine parked per in-flight request.
+// asyncCallable is the optional surface that selects serve's CallAsync
+// executor: core.Object implements it, accepting plain (non-intercepted,
+// unbounded, unjournaled) entries. An accepted call is submitted from the
+// read loop and answered from the object's completion dispatcher — no
+// serve goroutine spawned, no goroutine parked per in-flight request. A
+// declined call takes the blocking executor; both share serve's admit and
+// respond steps.
 type asyncCallable interface {
 	CallAsync(entry string, params []any, done func([]any, error)) bool
 }
@@ -270,34 +272,29 @@ func (l *link) call(ctx context.Context, object, entry string, params []any, cli
 	if err := l.send(&req); err != nil {
 		return nil, fmt.Errorf("rpc: call %s.%s: %w", object, entry, err)
 	}
+	var resp frame
 	if ctx.Done() == nil {
 		// Uncancellable context (the common hot path): a plain receive —
 		// shutdown's poison sweep guarantees a zero-kind frame arrives if
 		// the link dies, so no select and no l.done arm are needed.
-		resp := <-respCh
-		if resp.Kind == 0 {
-			return nil, fmt.Errorf("rpc: call %s.%s interrupted: %w", object, entry, l.closeReason())
+		resp = <-respCh
+	} else {
+		select {
+		case resp = <-respCh:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if err := decodeErr(resp.Err, resp.ErrKind); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
 	}
-	select {
-	case resp := <-respCh:
-		if resp.Kind == 0 {
-			// The send succeeded but the connection died before the
-			// response: fail fast and name the call, so the failure is
-			// attributable.
-			return nil, fmt.Errorf("rpc: call %s.%s interrupted: %w", object, entry, l.closeReason())
-		}
-		if err := decodeErr(resp.Err, resp.ErrKind); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if resp.Kind == 0 {
+		// The send succeeded but the connection died before the
+		// response: fail fast and name the call, so the failure is
+		// attributable.
+		return nil, fmt.Errorf("rpc: call %s.%s interrupted: %w", object, entry, l.closeReason())
 	}
+	if err := decodeErr(resp.Err, resp.ErrKind); err != nil {
+		return nil, err
+	}
+	return resp.Results, nil
 }
 
 // list asks the peer for its hosted object names.
@@ -403,7 +400,8 @@ func (l *link) proxyFor(ref ChanRef) *channel.Chan {
 // decodes and dispatches frames until the stream dies. Dispatch never
 // blocks on a slow consumer — responses land in buffered per-call channels
 // (extra sends dropped), channel messages go into unbounded ALPS channels,
-// and requests and list queries run on their own goroutines — so one slow
+// requests are admitted without blocking and executed off the loop (see
+// serve), and list queries run on their own goroutines — so one slow
 // waiter cannot stall delivery for the calls pipelined behind it.
 func (l *link) readLoop() {
 	defer l.wg.Done()
@@ -441,21 +439,8 @@ func (l *link) readLoop() {
 		}
 		switch f.Kind {
 		case frameRequest:
-			req := f
+			l.serve(f) // owns the frame from here on
 			f = getFrame()
-			if l.serveInline(req) {
-				// Submitted straight into the object; the response will be
-				// sent from its completion dispatcher and the frame is now
-				// owned by that path.
-				continue
-			}
-			// Blocking path, on a detached goroutine: the drain gate (hooks
-			// begin/end) already accounts in-flight work for Node.Close,
-			// and link teardown must not wait out a long-running body.
-			go func() {
-				l.serveRequest(req)
-				putFrame(req)
-			}()
 		case frameResponse, frameListResp:
 			// Deliver while holding l.mu: call/list delete their pending
 			// entry under the same lock before recycling the channel, so a
@@ -508,74 +493,106 @@ func (l *link) sendResponse(r *frame) {
 	_ = l.send(&fallback)
 }
 
-// serveRequest executes one incoming request. The frame is only borrowed:
-// everything the body needs is copied into locals before the blocking
-// call, since the caller recycles f as soon as serveRequest returns.
-func (l *link) serveRequest(f *frame) {
-	resp := frame{Kind: frameResponse, ID: f.ID}
-	if l.hooks.begin != nil && !l.hooks.begin() {
-		// The node is draining: refuse new work so Close can finish.
-		if m := l.hooks.metrics; m != nil {
-			m.DrainDrops.Inc()
-		}
-		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("node draining: %w", core.ErrClosed))
-		_ = l.send(&resp)
-		return
-	}
-	if l.hooks.end != nil {
-		defer l.hooks.end()
-	}
+// request is one request frame on its way through the serve pipeline. The
+// frame is owned until release recycles it; the resolved params alias it.
+type request struct {
+	f     *frame
+	entry *dedupEntry // the dedup record this execution completes; nil if untracked
+	gated bool        // holds the drain gate, released once the response is queued
+}
 
+// serve runs one request frame through the link's single serve pipeline
+// and takes ownership of f. A remote call has one meaning however it is
+// executed, so every request takes the same three steps:
+//
+//   - admit, here on the read loop and never blocking: the drain gate, the
+//     object lookup and the dedup begin. A refusal goes straight to
+//     respond; a duplicate waits for its primary on its own goroutine.
+//   - execute, on one of two executors. A durable node, or an object
+//     without CallAsync, runs the blocking executor (execute). Otherwise
+//     the call goes to CallAsync, whose completion dispatcher responds,
+//     and falls back to the blocking executor if the object declines.
+//   - respond, one function for both executors and for refusals.
+func (l *link) serve(f *frame) {
+	req := request{f: f}
+	if l.hooks.begin != nil {
+		if !l.hooks.begin() {
+			// The node is draining: refuse new work so Close can finish.
+			if m := l.hooks.metrics; m != nil {
+				m.DrainDrops.Inc()
+			}
+			l.respond(req, false, nil, fmt.Errorf("node draining: %w", core.ErrClosed))
+			return
+		}
+		req.gated = true
+	}
 	var obj callable
 	ok := false
 	if l.res != nil {
 		obj, ok = l.res.lookup(f.Object)
 	}
 	if !ok {
-		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("object %q: %w", f.Object, ErrUnknownObject))
-		_ = l.send(&resp)
+		l.respond(req, false, nil, fmt.Errorf("object %q: %w", f.Object, ErrUnknownObject))
 		return
 	}
-
-	// At-most-once: the first arrival of a (client, seq) executes; a
-	// retry waits for that execution and replays its response. The wait is
-	// bounded by replayWait — the wire carries no per-call deadline, so
-	// without the bound a primary stuck in a guard that never fires would
-	// pin this goroutine forever (and, before the bound existed, did).
-	var entry *dedupEntry
+	// At-most-once: the first arrival of a (client, seq) executes; a retry
+	// waits for that execution and replays its response.
 	if f.Client != "" && l.hooks.dedup != nil {
 		var primary bool
-		entry, primary = l.hooks.dedup.begin(dedupKey{f.Client, f.Seq})
+		req.entry, primary = l.hooks.dedup.begin(dedupKey{f.Client, f.Seq})
 		if !primary {
-			l.replayDuplicate(f.ID, f.Object, f.Entry, f.Client, f.Seq, entry)
+			go l.replayDuplicate(req)
 			return
 		}
 	}
-
-	id, objName, entryName := f.ID, f.Object, f.Entry
-	client, seq := f.Client, f.Seq
 	params := l.resolveParams(f.Params)
+	if ac, ok := obj.(asyncCallable); ok && l.hooks.durable == nil &&
+		ac.CallAsync(f.Entry, params, func(results []any, err error) {
+			l.respond(req, false, results, err)
+		}) {
+		return
+	}
+	go l.execute(obj, req, params)
+}
+
+// execute is the blocking executor: the request's own goroutine, running
+// the body to completion. It is detached from link teardown — the drain
+// gate already accounts in-flight work for Node.Close, and the link must
+// not wait out a long-running body.
+func (l *link) execute(obj callable, req request, params []any) {
+	f := req.f
 	ctx := l.ctx
-	if entry != nil && l.hooks.serveCtx != nil {
+	if req.entry != nil && l.hooks.serveCtx != nil {
 		// Dedup-tracked executions outlive their arrival link: at-most-once
 		// means a retry must observe this execution's result, so the body
 		// is tied to the node's lifetime, not the connection's.
 		ctx = l.hooks.serveCtx
 	}
-	// The body runs inline: serveRequest already has its own goroutine, so
-	// the gob-era hand-off through an inner goroutine and result channel
-	// is gone — one goroutine and one channel fewer per request.
 	var results []any
 	var err error
-	if sc, needsSession := obj.(sessionCallable); needsSession && client != "" {
+	if sc, needsSession := obj.(sessionCallable); needsSession && f.Client != "" {
 		// Session-aware objects (consensus-replicated) carry the caller's
 		// at-most-once identity into the replicated log, so a retry after a
 		// failover replays on the new leader instead of re-executing.
-		results, err = sc.CallSession(ctx, client, seq, entryName, params)
+		results, err = sc.CallSession(ctx, f.Client, f.Seq, f.Entry, params)
 	} else {
-		results, err = obj.CallCtx(ctx, entryName, params...)
+		results, err = obj.CallCtx(ctx, f.Entry, params...)
 	}
-	r := frame{Kind: frameResponse, ID: id, Results: results}
+	l.respond(req, true, results, err)
+}
+
+// respond turns an outcome into the response frame and delivers it: error
+// encoding and metrics, the durable ack, the dedup record, the send, and
+// last the release. blocking reports that the caller owns its goroutine
+// (the blocking executor); the read loop and the completion dispatcher
+// must not block, so their send is non-blocking first — no backpressure
+// wait, no syscall — with a goroutine fallback when the link is
+// backpressured. Either way the drain gate is released only once the
+// frame is queued or the link is dead, so Node.Close never counts a call
+// drained while its response could still be lost.
+func (l *link) respond(req request, blocking bool, results []any, err error) {
+	f := req.f
+	r := frame{Kind: frameResponse, ID: f.ID, Results: results}
 	if err != nil {
 		r.Results = nil
 		r.Err, r.ErrKind = encodeErr(err)
@@ -594,19 +611,21 @@ func (l *link) serveRequest(f *frame) {
 	// log, so this one group-committed sync also makes the state
 	// transition durable — zero lost acknowledged calls. Failed calls
 	// are not journaled: no transition happened, and re-executing them
-	// on retry after a crash is the desired behaviour.
+	// on retry after a crash is the desired behaviour. A durable node
+	// executes every call on the blocking executor, so the completion
+	// dispatcher never reaches this wait.
 	var ackLSN uint64
-	if st := l.hooks.durable; st != nil && entry != nil && err == nil && st.DurableEntry(objName, entryName) {
-		lsn, aerr := st.AppendAck(objName, entryName, client, seq, r.Results, "", 0)
+	if st := l.hooks.durable; st != nil && req.entry != nil && err == nil && st.DurableEntry(f.Object, f.Entry) {
+		lsn, aerr := st.AppendAck(f.Object, f.Entry, f.Client, f.Seq, r.Results, "", 0)
 		if aerr != nil {
 			r.Results = nil
-			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but journal append failed: %w", objName, entryName, aerr))
+			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but journal append failed: %w", f.Object, f.Entry, aerr))
 		} else {
 			ackLSN = lsn
-			entry.lsn = lsn // published to duplicates by complete's close(done)
+			req.entry.lsn = lsn // published to duplicates by complete's close(done)
 		}
 	}
-	if entry != nil {
+	if req.entry != nil {
 		// Record the outcome even if the arrival link is already dead:
 		// the retry that replaces it replays from here. Completing
 		// before the sync is safe — every responder (this goroutine
@@ -616,19 +635,38 @@ func (l *link) serveRequest(f *frame) {
 		// Not-leader rejections are released but not cached: the client
 		// retries the SAME seq against the new leader, and a pinned
 		// rejection would replay forever (see dedupCache.forget).
+		key := dedupKey{f.Client, f.Seq}
 		if r.ErrKind == errNotLeader {
-			l.hooks.dedup.forget(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
+			l.hooks.dedup.forget(key, req.entry, r.Results, r.Err, r.ErrKind)
 		} else {
-			l.hooks.dedup.complete(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
+			l.hooks.dedup.complete(key, req.entry, r.Results, r.Err, r.ErrKind)
 		}
 	}
 	if ackLSN != 0 {
 		if aerr := l.hooks.durable.WaitSynced(ackLSN); aerr != nil {
 			r.Results = nil
-			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but not durable: %w", objName, entryName, aerr))
+			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but not durable: %w", f.Object, f.Entry, aerr))
 		}
 	}
-	l.sendResponse(&r)
+	if blocking {
+		l.sendResponse(&r)
+	} else if !l.trySendResponse(&r) {
+		go func(r frame) {
+			l.sendResponse(&r)
+			l.release(req)
+		}(r)
+		return
+	}
+	l.release(req)
+}
+
+// release ends a request whose response is queued (or undeliverable):
+// the frame goes back to the pool and the drain gate opens.
+func (l *link) release(req request) {
+	putFrame(req.f)
+	if req.gated {
+		l.hooks.end()
+	}
 }
 
 // replayDuplicate answers a retry of a (client, seq) whose primary
@@ -636,14 +674,16 @@ func (l *link) serveRequest(f *frame) {
 // replayWait — for the primary's completion and replays its response. The
 // wait is bounded because the wire carries no per-call deadline; without
 // the bound a primary stuck in a guard that never fires would pin this
-// goroutine forever (and, before the bound existed, did). Callers own the
-// drain gate.
-func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq uint64, entry *dedupEntry) {
-	resp := frame{Kind: frameResponse, ID: id}
+// goroutine forever (and, before the bound existed, did). The request is
+// released once the replay is queued.
+func (l *link) replayDuplicate(req request) {
+	defer l.release(req)
+	f, entry := req.f, req.entry
+	resp := frame{Kind: frameResponse, ID: f.ID}
 	if m := l.hooks.metrics; m != nil {
 		m.DedupHits.Inc()
 	}
-	l.hooks.rec.Record(objName, entryName, -1, seq, trace.Replayed)
+	l.hooks.rec.Record(f.Object, f.Entry, -1, f.Seq, trace.Replayed)
 	var timeout <-chan time.Time
 	if l.hooks.replayWait > 0 {
 		t := time.NewTimer(l.hooks.replayWait)
@@ -657,7 +697,7 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		// would have been.
 		if st := l.hooks.durable; st != nil && entry.lsn != 0 {
 			if err := st.WaitSynced(entry.lsn); err != nil {
-				resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("rpc: replay %s.%s: durability: %w", objName, entryName, err))
+				resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("rpc: replay %s.%s: durability: %w", f.Object, f.Entry, err))
 				_ = l.send(&resp)
 				return
 			}
@@ -670,117 +710,9 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		}
 		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf(
 			"rpc: duplicate of %s.%s (client %s seq %d) still in flight after %v: %w",
-			objName, entryName, client, seq, l.hooks.replayWait, ErrReplayTimeout))
+			f.Object, f.Entry, f.Client, f.Seq, l.hooks.replayWait, ErrReplayTimeout))
 		_ = l.send(&resp)
 	case <-l.done:
-	}
-}
-
-// serveInline is the zero-goroutine request path: when the published
-// object supports asynchronous completion, the read loop submits the call
-// directly and the response is sent by the object's completion
-// dispatcher. It reports false — before taking the drain gate or touching
-// the dedup table — when the request needs the blocking path: durability
-// configured, unknown objects, objects without CallAsync. Returning true
-// transfers ownership of f: serveInline (or the work it spawned) recycles
-// the frame.
-func (l *link) serveInline(f *frame) bool {
-	if l.hooks.durable != nil || l.res == nil {
-		return false
-	}
-	obj, ok := l.res.lookup(f.Object)
-	if !ok {
-		return false
-	}
-	ac, isAsync := obj.(asyncCallable)
-	if !isAsync {
-		return false
-	}
-	if l.hooks.begin != nil && !l.hooks.begin() {
-		return false // draining: the blocking path re-checks and rejects
-	}
-	// The drain gate is held from here on: every path below must reach
-	// endServe exactly once, so falling back to serveRequest — which would
-	// take the gate a second time — is no longer an option.
-	id, objName, entryName := f.ID, f.Object, f.Entry
-	client, seq := f.Client, f.Seq
-	var entry *dedupEntry
-	if client != "" && l.hooks.dedup != nil {
-		var primary bool
-		entry, primary = l.hooks.dedup.begin(dedupKey{client, seq})
-		if !primary {
-			// Replays can block on the primary: their own goroutine. The
-			// frame is done — everything the wait needs is copied above.
-			putFrame(f)
-			go func() {
-				defer l.endServe()
-				l.replayDuplicate(id, objName, entryName, client, seq, entry)
-			}()
-			return true
-		}
-	}
-	params := l.resolveParams(f.Params)
-	done := func(results []any, err error) {
-		l.finishServe(id, client, seq, entry, results, err)
-		putFrame(f) // params (aliasing f) are dead once the body finished
-		l.endServe()
-	}
-	if ac.CallAsync(entryName, params, done) {
-		return true
-	}
-	// The object declined (intercepted entry, admission bound, journal,
-	// sequencer, closing): execute on the blocking path, with the gate and
-	// the dedup entry already held.
-	go func() {
-		defer l.endServe()
-		ctx := l.ctx
-		if entry != nil && l.hooks.serveCtx != nil {
-			ctx = l.hooks.serveCtx
-		}
-		results, err := obj.CallCtx(ctx, entryName, params...)
-		l.finishServe(id, client, seq, entry, results, err)
-		putFrame(f)
-	}()
-	return true
-}
-
-func (l *link) endServe() {
-	if l.hooks.end != nil {
-		l.hooks.end()
-	}
-}
-
-// finishServe turns a call outcome into the response frame: error
-// encoding and metrics, the at-most-once record for replays, then the
-// send — non-blocking first, since this runs on the object's shared
-// completion dispatcher, with a goroutine fallback when the link is
-// backpressured.
-func (l *link) finishServe(id uint64, client string, seq uint64, entry *dedupEntry, results []any, err error) {
-	r := frame{Kind: frameResponse, ID: id, Results: results}
-	if err != nil {
-		r.Results = nil
-		r.Err, r.ErrKind = encodeErr(err)
-		if m := l.hooks.metrics; m != nil {
-			switch r.ErrKind {
-			case errOverload:
-				m.Overloads.Inc()
-			case errPoisoned:
-				m.Poisons.Inc()
-			}
-		}
-	}
-	if entry != nil {
-		// Record the outcome even if the arrival link is already dead: the
-		// retry that replaces it replays from here — except not-leader
-		// rejections, which must not be pinned against the retried seq.
-		if r.ErrKind == errNotLeader {
-			l.hooks.dedup.forget(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		} else {
-			l.hooks.dedup.complete(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		}
-	}
-	if !l.trySendResponse(&r) {
-		go l.sendResponse(&r)
 	}
 }
 
