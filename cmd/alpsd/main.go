@@ -108,7 +108,7 @@ func newServer(args []string) (*server, string, error) {
 		// Replication (docs/REPLICATION.md).
 		replicaID = fs.String("replica-id", "", "this member's ID in a replication group (requires -peers)")
 		peersSpec = fs.String("peers", "", `static replication-group membership "id=host:port,..." including this member; hosts the consensus-replicated Registry object`)
-		join      = fs.Bool("join", false, "rejoin an existing group quietly: triple this member's election patience so it catches up as a follower instead of forcing an election")
+		join      = fs.Bool("join", false, "rejoin an existing group quietly: triple this member's election patience so it catches up as a follower instead of forcing an election (a member with persisted state under -data-dir never campaigns early, -join or not)")
 
 		// Cross-process shard fabric (docs/FABRIC.md).
 		fabricID      = fs.String("fabric-id", "", "this node's member ID in the shard fabric (requires -fabric-members)")
@@ -282,6 +282,10 @@ func newServer(args []string) (*server, string, error) {
 		}
 		// A rejoining member is slow to campaign: it should catch up as a
 		// follower, not force an election on the group it crashed out of.
+		// Only a fresh group's lowest-ID member with no persisted state
+		// campaigns early (one heartbeat after boot); a member that
+		// recovers consensus state from -data-dir never does, so -join
+		// changes nothing about that.
 		et := 150 * time.Millisecond
 		if *join {
 			et *= 3

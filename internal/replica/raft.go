@@ -48,6 +48,30 @@ func (r *Replica) resetElectionDeadline() {
 	r.electionDeadline = time.Now().Add(d)
 }
 
+// bootDesignee reports whether this member opens a fresh group's first
+// election one heartbeat after boot instead of after [T, 2T): it is
+// durable, recovered no consensus state at all (term 0, no vote, no log,
+// no snapshot) and has the lowest ID in the member set. Only timing
+// changes — the campaign is an ordinary term-1 election, so it cannot
+// depose a leader of term 2 or later, and a designee that is down leaves
+// the group to elect exactly as before. A restarted durable member always
+// has a persisted term, so it never campaigns early. A memory-only member
+// never does either: it cannot tell its first boot from a restart that
+// forgot it led term 1, and a quick second term-1 campaign could win
+// votes it already holds and reuse (term, index) slots its first
+// incarnation filled.
+func (r *Replica) bootDesignee() bool {
+	if r.cfg.Store == nil || r.term != 0 || r.votedFor != "" || r.lastIndex() != 0 || r.snapBlob != nil {
+		return false
+	}
+	for id := range r.cfg.Peers {
+		if id < r.cfg.ID {
+			return false
+		}
+	}
+	return true
+}
+
 // startElectionLocked begins a candidacy: bump the term, vote for self,
 // persist both before soliciting, then collect votes concurrently.
 // Called with r.mu held; returns with it released.
@@ -61,6 +85,7 @@ func (r *Replica) startElectionLocked() {
 	lastIdx := r.lastIndex()
 	lastTerm, _ := r.termAt(lastIdx)
 	r.resetElectionDeadline()
+	deadline := r.electionDeadline
 	lsn := r.persistStateLocked()
 	r.mu.Unlock()
 	if err := r.waitSynced(lsn); err != nil {
@@ -72,17 +97,7 @@ func (r *Replica) startElectionLocked() {
 	votes := make(chan bool, len(r.peers))
 	for _, p := range r.peers {
 		go func(p *peer) {
-			granted, peerTerm, err := p.requestVote(term, r.cfg.ID, lastIdx, lastTerm)
-			if err != nil {
-				votes <- false
-				return
-			}
-			if peerTerm > term {
-				r.observeTerm(peerTerm)
-				votes <- false
-				return
-			}
-			votes <- granted
+			votes <- r.solicitVote(p, term, lastIdx, lastTerm, deadline)
 		}(p)
 	}
 	need := (len(r.peers)+1)/2 + 1 // quorum of the full group
@@ -103,6 +118,38 @@ func (r *Replica) startElectionLocked() {
 			}
 		}
 	}()
+}
+
+// solicitVote asks one peer for its vote in term. A transport error is
+// not a refusal — the peer may not be listening yet, since a fresh
+// group's members boot in any order — so the request is re-sent every
+// heartbeat, in the same term, until the peer answers, the candidacy ends
+// (won, superseded, stepped down) or its deadline passes. Re-asking is
+// safe: a member grants at most one vote per term and only repeats it to
+// the same candidate, and Raft's safety never depends on timing (§5.1
+// has servers retry RPCs that go unanswered).
+func (r *Replica) solicitVote(p *peer, term, lastIdx, lastTerm uint64, deadline time.Time) bool {
+	for {
+		granted, peerTerm, err := p.requestVote(term, r.cfg.ID, lastIdx, lastTerm)
+		if err == nil {
+			if peerTerm > term {
+				r.observeTerm(peerTerm)
+				return false
+			}
+			return granted
+		}
+		select {
+		case <-r.done:
+			return false
+		case <-time.After(r.cfg.Heartbeat):
+		}
+		r.mu.Lock()
+		live := r.role == Candidate && r.term == term && time.Now().Before(deadline)
+		r.mu.Unlock()
+		if !live {
+			return false
+		}
+	}
 }
 
 // becomeLeader transitions if the member is still the candidate of term.
@@ -246,23 +293,44 @@ func newPeer(r *Replica, id, addr string) *peer {
 
 // ensure returns a live Remote, dialing on demand — a peer that is down
 // at startup (or restarting after a crash) becomes reachable the moment
-// its endpoint listens again.
+// its endpoint listens again. The dial runs outside p.mu: the leader
+// takes p.mu under r.mu to count commits and read quorums, so a dial
+// that hangs on a host dropping SYNs must not hold it. Concurrent callers
+// may each dial; the first to install its Remote wins and the others
+// close theirs.
 func (p *peer) ensure() (*rpc.Remote, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rem != nil {
-		return p.rem, nil
+	rem := p.rem
+	p.mu.Unlock()
+	if rem != nil {
+		return rem, nil
 	}
 	conn, err := p.r.cfg.Dial(p.addr)
 	if err != nil {
 		return nil, err
 	}
 	addr := p.addr
-	p.rem = rpc.DialConnWith(conn, rpc.DialOptions{
+	fresh := rpc.DialConnWith(conn, rpc.DialOptions{
 		ClientID: p.r.cfg.ID + "->" + p.id,
 		Redial:   func() (net.Conn, error) { return p.r.cfg.Dial(addr) },
 	})
-	return p.rem, nil
+	p.mu.Lock()
+	select {
+	case <-p.r.done:
+		// Close already ran (it closes done before taking p.mu in
+		// p.close), so nothing would ever close an installed Remote.
+		rem, err = nil, ErrClosed
+	default:
+		if p.rem == nil {
+			p.rem = fresh
+		}
+		rem = p.rem
+	}
+	p.mu.Unlock()
+	if rem != fresh {
+		fresh.Close()
+	}
+	return rem, err
 }
 
 func (p *peer) close() {

@@ -99,7 +99,9 @@ type Config struct {
 	Store *wal.Store
 	// ElectionTimeout is the base follower patience; an election fires
 	// after a seeded-random duration in [T, 2T) without leader contact
-	// (default 150ms). Heartbeats default to T/10.
+	// (default 150ms). Heartbeats default to T/10. The one exception is a
+	// fresh durable group's boot: the lowest-ID member, if its Store holds
+	// no consensus state, campaigns after one heartbeat instead.
 	ElectionTimeout time.Duration
 	Heartbeat       time.Duration
 	// Seed drives the randomized election timeouts, XORed with the
@@ -278,7 +280,9 @@ type Replica struct {
 // New creates (and starts) a group member applying committed calls to
 // obj. The member recovers its durable consensus state from cfg.Store
 // before contacting any peer, then runs as a follower until elections say
-// otherwise.
+// otherwise. A fresh durable group's lowest-ID member campaigns one
+// heartbeat after New (bootDesignee); every other member waits out
+// [T, 2T).
 func New(cfg Config, obj rpc.Callable) (*Replica, error) {
 	cfg.withDefaults()
 	if cfg.ID == "" || cfg.Group == "" {
@@ -308,7 +312,11 @@ func New(cfg Config, obj rpc.Callable) (*Replica, error) {
 	if err := r.recover(); err != nil {
 		return nil, err
 	}
-	r.resetElectionDeadline()
+	if r.bootDesignee() {
+		r.electionDeadline = time.Now().Add(cfg.Heartbeat)
+	} else {
+		r.resetElectionDeadline()
+	}
 	r.wg.Add(2)
 	go r.run()
 	go r.applyLoop()

@@ -99,45 +99,71 @@ type groupOpts struct {
 	thresh   int // SnapshotThreshold; 0 = default
 	metrics  *rpc.Metrics
 	readOnly func(string) bool
+	election time.Duration // ElectionTimeout; 0 = 60ms
+	beat     time.Duration // Heartbeat; 0 = the Config default
+	// dial, when non-nil, replaces the member's simnet dial.
+	dial func(from, addr string) (net.Conn, error)
+	logf func(format string, args ...any)
 }
 
 func startMember(t *testing.T, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
 	t.Helper()
+	m := newMember(t, nw, id, peers, seed, o)
+	m.serve(t, nw)
+	return m
+}
+
+// newMember starts a member's replica without listening: it can dial out
+// (and campaign) but no peer can reach it until serve.
+func newMember(t *testing.T, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
+	t.Helper()
 	obj := newKV()
+	election := o.election
+	if election == 0 {
+		election = 60 * time.Millisecond
+	}
+	dial := func(addr string) (net.Conn, error) { return nw.DialFrom(id, addr) }
+	if o.dial != nil {
+		dial = func(addr string) (net.Conn, error) { return o.dial(id, addr) }
+	}
 	rep, err := New(Config{
-		ID:    id,
-		Group: "KV",
-		Peers: peers,
-		Dial: func(addr string) (net.Conn, error) {
-			return nw.DialFrom(id, addr)
-		},
+		ID:                id,
+		Group:             "KV",
+		Peers:             peers,
+		Dial:              dial,
 		Store:             o.store,
-		ElectionTimeout:   60 * time.Millisecond,
+		ElectionTimeout:   election,
+		Heartbeat:         o.beat,
 		Seed:              seed,
 		SnapshotThreshold: o.thresh,
 		Snapshot:          obj.snapshot,
 		Restore:           obj.restore,
 		Metrics:           o.metrics,
 		ReadOnly:          o.readOnly,
+		Logf:              o.logf,
 	}, obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := rpc.NewNode(id)
-	if err := rep.Publish(node); err != nil {
-		t.Fatal(err)
-	}
-	lis, err := nw.Listen(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = node.Serve(lis) }()
-	m := &member{id: id, obj: obj, node: node, rep: rep}
+	m := &member{id: id, obj: obj, node: rpc.NewNode(id), rep: rep}
 	t.Cleanup(func() {
 		m.rep.Close()
 		m.node.Close()
 	})
 	return m
+}
+
+// serve publishes the member on its node and starts listening.
+func (m *member) serve(t *testing.T, nw *simnet.Network) {
+	t.Helper()
+	if err := m.rep.Publish(m.node); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := nw.Listen(m.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = m.node.Serve(lis) }()
 }
 
 func startGroup(t *testing.T, nw *simnet.Network, ids []string, seed uint64, o groupOpts) []*member {
